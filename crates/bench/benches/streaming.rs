@@ -55,10 +55,12 @@ fn config(smoke: bool) -> (StreamingConfig, usize) {
 }
 
 /// Seeds the pool with every answer's d-tree frontier: a *budgeted* first
-/// pass (only the anytime d-tree path hands back resumable handles —
-/// settled if it converged, open if it truncated) followed by an unbudgeted
-/// convergence pass, so measured rounds start from the steady streaming
-/// state: fully refined frontiers waiting for deltas.
+/// pass (the anytime path hands back a frontier — settled if it converged,
+/// open if it truncated; an unbudgeted `d-tree(0)` pass would pool settled
+/// exact results instead, which hold no frontier and recompile on every
+/// delta) followed by an unbudgeted convergence pass, so measured rounds
+/// start from the steady streaming state: fully refined frontiers waiting
+/// for deltas.
 fn seed_pool(w: &StreamingWorkload, engine: &ConfidenceEngine) -> ResumablePool {
     let mut pool = ResumablePool::new(w.lineages().len());
     let trickle = ConfidenceEngine::new(ConfidenceMethod::DTreeExact)

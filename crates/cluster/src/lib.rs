@@ -604,9 +604,9 @@ impl ClusterEngine {
             }
             match handle {
                 Some(h) if h.is_converged() => {
-                    // The delta left the bounds within the guarantee:
-                    // zero-work snapshot; the frontier stays pooled for the
-                    // next delta.
+                    // The delta left the bounds within the guarantee (or
+                    // there was none): zero-work snapshot; the handle stays
+                    // pooled for the next round.
                     snapshot_results[i] = Some(h.snapshot_result());
                     curves[i] = Some(h.width_curve().to_vec());
                     pool.insert(i, h);

@@ -10,8 +10,8 @@ use std::time::{Duration, Instant};
 
 use dtree::{
     exact_probability_view, exact_probability_view_cached, ApproxCompiler, ApproxOptions,
-    ApproxResult, CompileOptions, CompileStats, ErrorBound, ResumableCompilation, ResumeBudget,
-    SubformulaCache, VarOrder,
+    CompileOptions, CompileStats, ErrorBound, ResumableCompilation, ResumeBudget, SubformulaCache,
+    VarOrder,
 };
 use events::{Dnf, DnfRef, LineageArena, LineageDelta, ProbabilitySpace, VarOrigins};
 use montecarlo::{aconf_ref, naive_monte_carlo_ref, McOptions, NaiveOptions};
@@ -144,51 +144,146 @@ pub struct ConfidenceBudget {
     pub max_work: Option<u64>,
 }
 
-/// A suspended confidence computation: wraps a [`ResumableCompilation`] d-tree
-/// frontier together with the method label, so later budget slices keep
-/// tightening the same interval instead of recompiling the lineage from
-/// scratch.
+/// A suspended confidence computation, so later budget slices and streaming
+/// deltas pick up where the last run left off instead of recompiling the
+/// lineage from scratch.
 ///
-/// Obtained from [`confidence_resumable`] when a budgeted d-tree run is
-/// truncated before convergence. The handle owns the partial d-tree (arena
-/// included); drop it to discard the frontier. It is pinned to the
-/// probability-space generation it was captured under and **fails closed** if
-/// the space is invalidated in place: [`ResumableConfidence::resume`] then
-/// returns the vacuous non-converged `[0, 1]` interval and
-/// [`ResumableConfidence::failed`] turns `true` permanently.
+/// Obtained from [`confidence_resumable`]. A handle is one of two kinds:
+///
+/// * a **frontier** — a [`ResumableCompilation`] d-tree (arena included)
+///   from an anytime run: open after a budget truncation, settled after
+///   convergence. Resumes tighten it; deltas are routed into it in place.
+/// * a **settled exact result** — from an unbudgeted
+///   [`ConfidenceMethod::DTreeExact`] run, which always converges. It holds
+///   the exact interval only, no d-tree: resumes and snapshots return it
+///   with zero work, and any non-empty delta fails it closed so the item
+///   recompiles through the exact fold. Holding a result instead of a full
+///   ε = 0 frontier keeps a pooled exact answer a few words in size.
+///
+/// Either kind is pinned to the probability-space generation and watermark
+/// it was captured under and **fails closed** if the space is invalidated in
+/// place: [`ResumableConfidence::resume`] then returns the vacuous
+/// non-converged `[0, 1]` interval and [`ResumableConfidence::failed`] turns
+/// `true` permanently.
 #[derive(Debug, Clone)]
 pub struct ResumableConfidence {
-    inner: ResumableCompilation,
+    inner: Handle,
     method: String,
 }
 
+#[derive(Debug, Clone)]
+enum Handle {
+    Frontier(Box<ResumableCompilation>),
+    Settled(Settled),
+}
+
+/// The exact interval of a converged unbudgeted exact run, with the same
+/// generation/watermark pinning a [`ResumableCompilation`] carries.
+#[derive(Debug, Clone)]
+struct Settled {
+    estimate: f64,
+    lower: f64,
+    upper: f64,
+    generation: u64,
+    watermark: u64,
+    failed: bool,
+    /// The one-sample width curve `[(0, upper − lower)]`.
+    curve: [(usize, f64); 1],
+}
+
+impl Settled {
+    /// The frontier's currency rule: same generation, space not regressed
+    /// behind the captured watermark, never failed.
+    fn is_current(&self, space: &ProbabilitySpace) -> bool {
+        !self.failed && space.generation() == self.generation && space.watermark() >= self.watermark
+    }
+
+    /// Checks currency, failing closed when it is lost; on success advances
+    /// the watermark so later regressions are detected against the newest
+    /// space seen (as frontiers do).
+    fn revalidate(&mut self, space: &ProbabilitySpace) -> bool {
+        if !self.is_current(space) {
+            self.failed = true;
+            return false;
+        }
+        self.watermark = space.watermark();
+        true
+    }
+}
+
 impl ResumableConfidence {
+    /// A settled handle over the converged exact result `r`, pinned to
+    /// `space`.
+    fn settled(r: &ConfidenceResult, space: &ProbabilitySpace) -> Self {
+        let settled = Settled {
+            estimate: r.estimate,
+            lower: r.lower,
+            upper: r.upper,
+            generation: space.generation(),
+            watermark: space.watermark(),
+            failed: false,
+            curve: [(0, r.upper - r.lower)],
+        };
+        ResumableConfidence { inner: Handle::Settled(settled), method: r.method.clone() }
+    }
+
     /// Attaches observability to the underlying d-tree frontier: every later
     /// slice records its step count, cache-probe outcomes, latency, and the
     /// interval width reached (see `ResumableCompilation::attach_obs`).
-    /// Write-only; results are bit-identical with or without it.
+    /// Write-only; results are bit-identical with or without it. A settled
+    /// exact result runs no slices and records nothing.
     pub fn attach_obs(&mut self, o: &obs::Obs) {
-        self.inner.attach_obs(o);
+        if let Handle::Frontier(f) = &mut self.inner {
+            f.attach_obs(o);
+        }
     }
 
     /// Continues refinement for one budget slice (an empty budget means
     /// "until convergence"). Bounds never widen across slices; the returned
-    /// result carries slice-local `elapsed`/`stats`.
+    /// result carries slice-local `elapsed`/`stats`. A settled exact result
+    /// has nothing left to refine and returns itself with zero work.
     pub fn resume(
         &mut self,
         space: &ProbabilitySpace,
         budget: &ConfidenceBudget,
         cache: Option<&SubformulaCache>,
     ) -> ConfidenceResult {
+        let frontier = match &mut self.inner {
+            Handle::Frontier(f) => f,
+            Handle::Settled(s) => {
+                if s.revalidate(space) {
+                    return self.snapshot_result();
+                }
+                return ConfidenceResult {
+                    estimate: 0.5,
+                    lower: 0.0,
+                    upper: 1.0,
+                    converged: false,
+                    elapsed: Duration::ZERO,
+                    method: self.method.clone(),
+                    stats: Some(CompileStats::default()),
+                    degraded: None,
+                };
+            }
+        };
         let rb = ResumeBudget {
             max_steps: budget.max_work.map(|w| w as usize),
             timeout: budget.timeout,
         };
         let r = match cache {
-            Some(c) => self.inner.resume_cached(space, rb, c),
-            None => self.inner.resume(space, rb),
+            Some(c) => frontier.resume_cached(space, rb, c),
+            None => frontier.resume(space, rb),
         };
-        self.to_result(r)
+        ConfidenceResult {
+            estimate: r.estimate,
+            lower: r.lower,
+            upper: r.upper,
+            converged: r.converged,
+            elapsed: r.elapsed,
+            method: self.method.clone(),
+            stats: Some(r.stats),
+            degraded: None,
+        }
     }
 
     /// [`ResumableConfidence::resume`] against a wall-clock deadline: spends
@@ -206,40 +301,41 @@ impl ResumableConfidence {
         self.resume(space, &budget, cache)
     }
 
-    fn to_result(&self, r: ApproxResult) -> ConfidenceResult {
-        ConfidenceResult {
-            estimate: r.estimate,
-            lower: r.lower,
-            upper: r.upper,
-            converged: r.converged,
-            elapsed: r.elapsed,
-            method: self.method.clone(),
-            stats: Some(r.stats),
-            degraded: None,
-        }
-    }
-
     /// Current interval width `U − L`; what further resumption shrinks.
     /// Schedulers re-score suspended items by this.
     pub fn remaining_width(&self) -> f64 {
-        self.inner.width()
+        let (lower, upper) = self.bounds();
+        upper - lower
     }
 
     /// Current sound bounds of the suspended computation.
     pub fn bounds(&self) -> (f64, f64) {
-        let b = self.inner.bounds();
-        (b.lower, b.upper)
+        match &self.inner {
+            Handle::Frontier(f) => {
+                let b = f.bounds();
+                (b.lower, b.upper)
+            }
+            Handle::Settled(s) => (s.lower, s.upper),
+        }
     }
 
     /// `true` once the error guarantee is met (further resumes are no-ops).
+    /// Always `true` for a settled exact result until it fails closed.
     pub fn is_converged(&self) -> bool {
-        self.inner.is_converged()
+        match &self.inner {
+            Handle::Frontier(f) => f.is_converged(),
+            Handle::Settled(s) => !s.failed,
+        }
     }
 
-    /// `true` when the handle failed closed under probability-space
-    /// invalidation; recompute from scratch against the new space.
+    /// `true` when the handle failed closed (probability space invalidated,
+    /// or a delta it cannot absorb); recompute from scratch against the new
+    /// space.
     pub fn failed(&self) -> bool {
-        self.inner.is_poisoned()
+        match &self.inner {
+            Handle::Frontier(f) => f.is_poisoned(),
+            Handle::Settled(s) => s.failed,
+        }
     }
 
     /// `true` when the handle is still valid against `space` — the same
@@ -248,12 +344,19 @@ impl ResumableConfidence {
     /// checks it up front so stale handles recompile immediately instead of
     /// spending a slice to learn they are poisoned.
     pub fn is_current(&self, space: &ProbabilitySpace) -> bool {
-        self.inner.is_current(space)
+        match &self.inner {
+            Handle::Frontier(f) => f.is_current(space),
+            Handle::Settled(s) => s.is_current(space),
+        }
     }
 
-    /// Cumulative decomposition steps across the original run and all slices.
+    /// Cumulative decomposition steps across the original run and all
+    /// slices (0 for a settled exact result, which keeps no d-tree).
     pub fn total_steps(&self) -> usize {
-        self.inner.total_steps()
+        match &self.inner {
+            Handle::Frontier(f) => f.total_steps(),
+            Handle::Settled(_) => 0,
+        }
     }
 
     /// Applies a [`LineageDelta`] — clauses appended to the lineage this
@@ -264,7 +367,9 @@ impl ResumableConfidence {
     /// success; `false` when the handle fails closed (probability space
     /// invalidated in place, or a destructive — non-append — edit reached
     /// it), in which case [`ResumableConfidence::failed`] turns `true`
-    /// permanently and the item must be recompiled from scratch.
+    /// permanently and the item must be recompiled from scratch. A settled
+    /// exact result has no d-tree to route into: it absorbs only an empty
+    /// delta and fails closed on any other.
     ///
     /// The caller is responsible for the delta actually describing the growth
     /// of *this* handle's lineage (e.g. via [`LineageDelta::between`] or
@@ -272,41 +377,66 @@ impl ResumableConfidence {
     /// handle's bounds are sound for the grown formula, and further
     /// [`ResumableConfidence::resume`] slices tighten them as usual.
     pub fn apply_delta(&mut self, space: &ProbabilitySpace, delta: &LineageDelta) -> bool {
-        self.inner.apply_delta(space, delta.clauses())
+        match &mut self.inner {
+            Handle::Frontier(f) => f.apply_delta(space, delta.clauses()),
+            Handle::Settled(s) => {
+                if !delta.is_empty() {
+                    s.failed = true;
+                }
+                s.revalidate(space)
+            }
+        }
     }
 
     /// The width-vs-budget curve: `(cumulative_steps, interval_width)`
     /// samples recorded at capture, after every resume slice, and after every
     /// applied delta. Monotone non-increasing in width between deltas; a
-    /// delta can widen the interval again (the formula grew).
+    /// delta can widen the interval again (the formula grew). A settled
+    /// exact result has the single capture sample.
     pub fn width_curve(&self) -> &[(usize, f64)] {
-        self.inner.width_curve()
+        match &self.inner {
+            Handle::Frontier(f) => f.width_curve(),
+            Handle::Settled(s) => &s.curve,
+        }
     }
 
     /// Number of delta clauses applied over the handle's lifetime.
     pub fn deltas_applied(&self) -> usize {
-        self.inner.deltas_applied()
+        match &self.inner {
+            Handle::Frontier(f) => f.deltas_applied(),
+            Handle::Settled(_) => 0,
+        }
     }
 
     /// Number of delta routings that fell back to rebuilding a dirty subtree.
     pub fn dirty_rebuilds(&self) -> usize {
-        self.inner.dirty_rebuilds()
+        match &self.inner {
+            Handle::Frontier(f) => f.dirty_rebuilds(),
+            Handle::Settled(_) => 0,
+        }
     }
 
     /// The handle's current state as a [`ConfidenceResult`] without doing any
-    /// work: bounds, estimate, and convergence as of now, `elapsed` zero
-    /// (nothing ran for this snapshot). This is what maintenance reports for
-    /// items whose bounds stayed within the error guarantee after a delta.
+    /// work: bounds, estimate, and convergence as of now. Nothing ran for
+    /// this snapshot, so `elapsed` is zero and `stats` is
+    /// `CompileStats::default()` — never the handle's cumulative counters,
+    /// which summing a round's results would otherwise count again every
+    /// round. This is what maintenance reports for items whose bounds stayed
+    /// within the error guarantee after a delta.
     pub fn snapshot_result(&self) -> ConfidenceResult {
         let (lower, upper) = self.bounds();
+        let estimate = match &self.inner {
+            Handle::Frontier(f) => f.estimate(),
+            Handle::Settled(s) => s.estimate,
+        };
         ConfidenceResult {
-            estimate: self.inner.estimate(),
+            estimate,
             lower,
             upper,
-            converged: self.inner.is_converged(),
+            converged: self.is_converged(),
             elapsed: Duration::ZERO,
             method: self.method.clone(),
-            stats: Some(*self.inner.stats()),
+            stats: Some(CompileStats::default()),
             degraded: None,
         }
     }
@@ -513,16 +643,18 @@ pub fn confidence_with(
     }
 }
 
-/// [`confidence_with`], but for the anytime d-tree runs — budgeted
-/// [`ConfidenceMethod::DTreeExact`] and the approximate d-tree methods — the
-/// second return value carries a [`ResumableConfidence`] handle over the
-/// d-tree frontier: truncated runs keep an open frontier later slices
+/// [`confidence_with`], but every d-tree run also hands back a
+/// [`ResumableConfidence`] handle. Anytime runs — budgeted
+/// [`ConfidenceMethod::DTreeExact`] and the approximate d-tree methods — carry
+/// their d-tree frontier: truncated runs keep an open frontier later slices
 /// tighten instead of recompiling, converged runs a settled frontier whose
 /// purpose is absorbing appended lineage clauses
 /// ([`ResumableConfidence::apply_delta`]) in streaming maintenance.
-/// Unbudgeted [`ConfidenceMethod::DTreeExact`] (the plain exact evaluator)
-/// and the Monte-Carlo methods (no d-tree to persist) return `None`. All
-/// value-bearing fields are bit-identical to [`confidence_with`].
+/// Unbudgeted [`ConfidenceMethod::DTreeExact`] runs the plain exact evaluator
+/// and hands back a settled exact result, so maintenance can serve unchanged
+/// items from the pool with zero work. The Monte-Carlo methods (no d-tree to
+/// persist) return `None`. All value-bearing fields are bit-identical to
+/// [`confidence_with`].
 pub fn confidence_resumable(
     lineage: &Dnf,
     space: &ProbabilitySpace,
@@ -540,9 +672,13 @@ pub fn confidence_resumable(
         _ => None,
     };
     let Some(error) = error else {
-        // Unbudgeted exact evaluation and the Monte-Carlo methods have no
-        // frontier to persist.
-        return (confidence_with(lineage, space, origins, method, budget, seed, cache), None);
+        let r = confidence_with(lineage, space, origins, method, budget, seed, cache);
+        // Unbudgeted exact evaluation keeps its result, not a frontier: a
+        // full ε = 0 frontier would pin the whole tree in the pool. The
+        // Monte-Carlo methods have nothing to persist.
+        let settled = matches!(method, ConfidenceMethod::DTreeExact) && r.converged;
+        let handle = settled.then(|| ResumableConfidence::settled(&r, space));
+        return (r, handle);
     };
     let compile_opts = match origins {
         Some(o) => CompileOptions::with_origins(o.clone()),
@@ -569,7 +705,10 @@ pub fn confidence_resumable(
         stats: Some(r.stats),
         degraded: None,
     };
-    let handle = handle.map(|inner| ResumableConfidence { inner, method: method.label() });
+    let handle = handle.map(|f| ResumableConfidence {
+        inner: Handle::Frontier(Box::new(f)),
+        method: method.label(),
+    });
     (result, handle)
 }
 
@@ -814,7 +953,8 @@ mod tests {
     #[test]
     fn resumable_handle_presence_follows_method() {
         let (db, lineage) = sample_lineage();
-        // Unbudgeted exact: cannot truncate.
+        // Unbudgeted exact: cannot truncate, so the handle is a settled
+        // exact result — converged, carrying exactly the reported interval.
         let (r, h) = confidence_resumable(
             &lineage,
             db.space(),
@@ -824,7 +964,10 @@ mod tests {
             None,
             None,
         );
-        assert!(r.converged && h.is_none());
+        assert!(r.converged);
+        let h = h.expect("unbudgeted exact runs pool a settled result");
+        assert!(h.is_converged() && !h.failed());
+        assert_eq!(h.bounds(), (r.lower, r.upper));
         // Monte-Carlo: no d-tree frontier to persist, even truncated.
         let budget = ConfidenceBudget { timeout: None, max_work: Some(2) };
         let (r, h) = confidence_resumable(
@@ -852,6 +995,64 @@ mod tests {
         let h = h.expect("converged runs pool their settled frontier");
         assert!(h.is_converged());
         assert_eq!(h.bounds(), (r.lower, r.upper));
+    }
+
+    #[test]
+    fn settled_handle_serves_its_result_and_fails_closed() {
+        let (mut s, phi) = hard_lineage();
+        let exact = ConfidenceMethod::DTreeExact;
+        let (r, h) =
+            confidence_resumable(&phi, &s, None, &exact, &ConfidenceBudget::default(), None, None);
+        let mut h = h.expect("settled handle");
+        assert_eq!(h.remaining_width(), r.upper - r.lower);
+        assert_eq!(h.total_steps(), 0);
+        assert_eq!(h.width_curve(), &[(0, r.upper - r.lower)]);
+        // Resumes and snapshots return the stored result with zero work.
+        for got in [h.resume(&s, &ConfidenceBudget::default(), None), h.snapshot_result()] {
+            assert_eq!(got.estimate.to_bits(), r.estimate.to_bits());
+            assert_eq!((got.lower, got.upper), (r.lower, r.upper));
+            assert!(got.converged);
+            assert_eq!(got.elapsed, Duration::ZERO);
+            assert_eq!(got.stats.map(|st| st.work()), Some(0));
+            assert_eq!(got.method, "d-tree(0)");
+        }
+        // Append-only growth keeps it current; an empty delta is absorbed.
+        let fresh = s.add_bool("t", 0.4);
+        assert!(h.is_current(&s));
+        let empty = LineageDelta::between(&phi, &phi).expect("identity is an append");
+        assert!(h.apply_delta(&s, &empty) && !h.failed());
+        // Any real delta fails it closed: there is no d-tree to route into.
+        let grown = phi.or(&Dnf::from_clauses(vec![events::Clause::from_bools(&[fresh])]));
+        let delta = LineageDelta::between(&phi, &grown).expect("append-only");
+        let mut touched = h.clone();
+        assert!(!touched.apply_delta(&s, &delta));
+        assert!(touched.failed() && !touched.is_converged() && !touched.is_current(&s));
+        // Invalidation fails it closed to the vacuous interval.
+        s.invalidate();
+        assert!(!h.is_current(&s));
+        let v = h.resume(&s, &ConfidenceBudget::default(), None);
+        assert_eq!((v.lower, v.upper, v.converged), (0.0, 1.0, false));
+        assert!(h.failed());
+    }
+
+    #[test]
+    fn frontier_snapshots_report_zero_work() {
+        let (s, phi) = hard_lineage();
+        let budget = ConfidenceBudget { timeout: None, max_work: Some(2) };
+        let (first, h) = confidence_resumable(
+            &phi,
+            &s,
+            None,
+            &ConfidenceMethod::DTreeExact,
+            &budget,
+            None,
+            None,
+        );
+        assert!(first.stats.is_some_and(|st| st.work() > 0));
+        let snap = h.expect("truncated").snapshot_result();
+        assert_eq!(snap.elapsed, Duration::ZERO);
+        assert_eq!(snap.stats.map(|st| st.work()), Some(0), "a snapshot must not recount work");
+        assert_eq!((snap.lower, snap.upper), (first.lower, first.upper));
     }
 
     #[test]

@@ -501,12 +501,13 @@ impl ConfidenceEngine {
         r
     }
 
-    /// [`ConfidenceEngine::compute_item`], but for anytime d-tree runs the
-    /// second return value carries a [`ResumableConfidence`] handle over the
-    /// item's d-tree frontier (see [`confidence_resumable`]): open after a
-    /// budget truncation, settled after convergence. Schedulers hold the
-    /// handle and spend later refinement rounds resuming it — or route
-    /// streaming deltas into it — instead of recompiling the item.
+    /// [`ConfidenceEngine::compute_item`], but for d-tree runs the second
+    /// return value carries a [`ResumableConfidence`] handle (see
+    /// [`confidence_resumable`]): the item's d-tree frontier for anytime
+    /// runs — open after a budget truncation, settled after convergence — or
+    /// the settled exact result of an unbudgeted `d-tree(0)` run. Schedulers
+    /// hold the handle and spend later refinement rounds resuming it — or
+    /// route streaming deltas into it — instead of recompiling the item.
     /// The first return value is identical to what
     /// [`ConfidenceEngine::compute_item`] reports for the same call.
     pub fn compute_item_resumable(
@@ -563,7 +564,10 @@ impl ConfidenceEngine {
     ///    edit): compile from scratch via
     ///    [`ConfidenceEngine::compute_item_resumable`], pooling the new
     ///    handle — open if the run truncated, settled if it converged — so
-    ///    the *next* round's delta finds a frontier to land in.
+    ///    the *next* round's delta finds a frontier to land in. An
+    ///    unbudgeted `d-tree(0)` item pools its settled exact result: the
+    ///    next round serves it as a snapshot if unchanged, and any delta
+    ///    fails it closed into a recompile.
     ///
     /// The Monte-Carlo methods have no incremental story — their estimators
     /// must resample under the grown formula — so every changed item

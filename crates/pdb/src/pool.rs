@@ -2,10 +2,11 @@
 //!
 //! Streaming maintenance keeps one [`ResumableConfidence`] handle per
 //! in-flight answer tuple so that each round of inserts only has to *apply a
-//! delta and resume* instead of recompiling the lineage from scratch. Handles
-//! own their partial d-tree (arena included), so an unbounded pool over a
-//! large answer relation is a memory hazard; [`ResumablePool`] bounds the
-//! number of live handles and evicts **width-aware**:
+//! delta and resume* instead of recompiling the lineage from scratch.
+//! Frontier handles own their partial d-tree (arena included), so an
+//! unbounded pool over a large answer relation is a memory hazard;
+//! [`ResumablePool`] bounds the number of live handles and evicts
+//! **width-aware**:
 //!
 //! * Handles that failed closed are never stored — a poisoned frontier can
 //!   absorb no delta and answer no resume; the item must recompile anyway.
@@ -14,6 +15,16 @@
 //!   fully-refined d-tree in place — usually far cheaper than recompiling the
 //!   grown lineage from scratch. For a streaming workload the converged
 //!   handles are precisely the most invested ones.
+//! * **Settled exact entries** are stored too. An unbudgeted `d-tree(0)`
+//!   item leaves a handle holding only its exact result, pinned to the
+//!   space's generation and watermark. An unchanged item is then a
+//!   zero-work snapshot; a touched one fails the entry closed and
+//!   recompiles through the exact fold. The entry holds a result, not a
+//!   full ε = 0 frontier: a frontier keeps its whole tree, its per-node
+//!   variable sets and the subtrees orphaned by dirty rebuilds. On the
+//!   `stream-ingest` benchmark (seed 4001) pooling full frontiers raised
+//!   peak RSS from 22.7 MB to 35.6 MB; settled results lowered it to
+//!   18.8 MB. Their width is `U − L` (zero), so they are evicted last.
 //! * When over capacity, the handle with the **widest** remaining interval is
 //!   evicted. The widest handle has made the least refinement progress toward
 //!   its error guarantee, so discarding it forfeits the least accumulated

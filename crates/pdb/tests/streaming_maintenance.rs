@@ -5,11 +5,25 @@
 //! compiling the final formula from scratch, for every confidence method and
 //! with the subformula cache on or off. Destructive (non-append) edits must
 //! fail closed instead of silently reusing a stale frontier.
+//!
+//! Unbudgeted `d-tree(0)` maintenance pools settled exact results: the
+//! contract tests pin which items snapshot and which recompile, through both
+//! `ConfidenceEngine::maintain_batch` and `cluster::ClusterEngine::maintain_batch`,
+//! and a soundness proptest checks every maintained interval against the
+//! possible-world enumeration.
 
-use events::{Clause, Dnf, LineageDelta, ProbabilitySpace};
-use pdb::confidence::{ConfidenceBudget, ConfidenceMethod};
-use pdb::{ConfidenceEngine, ResumablePool};
+use std::time::Duration;
+
+use cluster::{ClusterBatchResult, ClusterEngine};
+use events::{Clause, Dnf, LineageDelta, ProbabilitySpace, VarId};
+use pdb::confidence::{ConfidenceBudget, ConfidenceMethod, ConfidenceResult};
+use pdb::{ConfidenceEngine, MaintainResult, ResumablePool};
 use proptest::prelude::*;
+
+/// Slack allowed between a maintained interval and the probability the
+/// possible-world enumeration computes: the two sum the same products in
+/// different orders.
+const SOUNDNESS_TOL: f64 = 1e-9;
 
 /// A random append stream: an initial DNF over `probs.len()` variables, then
 /// `rounds` of appended clauses. Each appended clause joins one fresh
@@ -224,4 +238,159 @@ fn delta_rounds_resume_pooled_frontiers() {
     let exact =
         dtree::exact_probability(&lineage, &space, &dtree::CompileOptions::default()).probability;
     assert!((r.results[0].estimate - exact).abs() < 1e-6 * exact + 1e-12);
+}
+
+/// Six answers whose lineages are overlapping 2-literal chains, small
+/// enough that unbudgeted exact evaluation is instant.
+fn answers_fixture() -> (ProbabilitySpace, Vec<VarId>, Vec<Dnf>) {
+    let mut space = ProbabilitySpace::new();
+    let vars: Vec<_> =
+        (0..16).map(|i| space.add_bool(format!("x{i}"), 0.15 + 0.04 * i as f64)).collect();
+    let lineages = (0..6)
+        .map(|k| {
+            Dnf::from_clauses((0..8).map(|i| Clause::from_bools(&[vars[i + k], vars[i + k + 1]])))
+        })
+        .collect();
+    (space, vars, lineages)
+}
+
+/// One unbudgeted `d-tree(0)` maintenance round through the flat engine and
+/// through a 2-shard cluster, each over its own pool.
+fn maintain_both(
+    lineages: &[Dnf],
+    deltas: &[Option<LineageDelta>],
+    space: &ProbabilitySpace,
+    pools: &mut (ResumablePool, ResumablePool),
+) -> (MaintainResult, ClusterBatchResult) {
+    let engine = ConfidenceEngine::new(ConfidenceMethod::DTreeExact);
+    let cluster = ClusterEngine::new(ConfidenceMethod::DTreeExact).with_shards(2);
+    (
+        engine.maintain_batch(lineages, deltas, space, None, &mut pools.0),
+        cluster.maintain_batch(lineages, deltas, space, None, &mut pools.1),
+    )
+}
+
+fn executed(out: &ClusterBatchResult) -> usize {
+    out.shards.iter().map(|s| s.executed).sum()
+}
+
+fn assert_bit_identical(got: &[ConfidenceResult], want: &[ConfidenceResult], what: &str) {
+    assert_eq!(got.len(), want.len());
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.estimate.to_bits(), w.estimate.to_bits(), "{what} item {i}");
+        assert_eq!(g.lower.to_bits(), w.lower.to_bits(), "{what} item {i}");
+        assert_eq!(g.upper.to_bits(), w.upper.to_bits(), "{what} item {i}");
+        assert_eq!(g.converged, w.converged, "{what} item {i}");
+    }
+}
+
+/// The settled-result contract of unbudgeted `d-tree(0)` maintenance, on
+/// both maintenance paths: round 1 pools one settled exact result per item;
+/// an unchanged round is all zero-work snapshots; touched items (and only
+/// those) recompile, bit-identical to a plain batch over the grown
+/// lineages; and after an in-place space invalidation every item fails
+/// closed into recompilation.
+#[test]
+fn unbudgeted_exact_maintenance_pools_settled_results() {
+    let (mut space, vars, mut lineages) = answers_fixture();
+    let n = lineages.len();
+    let mut pools = (ResumablePool::new(n), ResumablePool::new(n));
+    let none: Vec<Option<LineageDelta>> = vec![None; n];
+    let batch = ConfidenceEngine::new(ConfidenceMethod::DTreeExact);
+
+    // Round 1: first sight — everything compiles and pools a settled result.
+    let (e1, c1) = maintain_both(&lineages, &none, &space, &mut pools);
+    assert_eq!((e1.recompiled, e1.refreshed, e1.snapshots), (n, 0, 0));
+    assert_eq!(executed(&c1), n);
+    let plain = batch.confidence_batch(&lineages, &space, None);
+    assert_bit_identical(&e1.results, &plain.results, "engine round 1");
+    assert_bit_identical(&c1.results, &plain.results, "cluster round 1");
+    for pool in [&pools.0, &pools.1] {
+        assert_eq!(pool.len(), n, "every converged exact item pools a handle");
+        for (i, r) in plain.results.iter().enumerate() {
+            let h = pool.get(i).expect("pooled");
+            assert!(h.is_converged() && h.is_current(&space));
+            assert_eq!(h.bounds(), (r.lower, r.upper));
+            assert_eq!(h.total_steps(), 0, "a settled result keeps no d-tree");
+        }
+    }
+
+    // Round 2: nothing changed — pure snapshots, no work, no scheduling.
+    let (e2, c2) = maintain_both(&lineages, &none, &space, &mut pools);
+    assert_eq!((e2.snapshots, e2.recompiled, e2.refreshed), (n, 0, 0));
+    assert_eq!(executed(&c2), 0);
+    for r in e2.results.iter().chain(&c2.results) {
+        assert_eq!(r.elapsed, Duration::ZERO);
+        assert_eq!(r.stats.map(|s| s.work()), Some(0), "snapshots report no work");
+    }
+    assert_bit_identical(&e2.results, &plain.results, "engine round 2");
+    assert_bit_identical(&c2.results, &plain.results, "cluster round 2");
+
+    // Round 3: append to items 1 and 4 — they alone recompile.
+    let touched = [1usize, 4];
+    let mut deltas: Vec<Option<LineageDelta>> = vec![None; n];
+    for &k in &touched {
+        let fresh = space.add_bool(format!("t{k}"), 0.3);
+        let grown = lineages[k].or(&Dnf::from_clauses(vec![
+            Clause::from_bools(&[fresh, vars[k]]),
+            Clause::from_bools(&[fresh]),
+        ]));
+        deltas[k] = Some(LineageDelta::between(&lineages[k], &grown).expect("append-only"));
+        lineages[k] = grown;
+    }
+    let (e3, c3) = maintain_both(&lineages, &deltas, &space, &mut pools);
+    assert_eq!((e3.recompiled, e3.snapshots, e3.refreshed), (touched.len(), n - touched.len(), 0));
+    assert_eq!(executed(&c3), touched.len());
+    let plain = batch.confidence_batch(&lineages, &space, None);
+    assert_bit_identical(&e3.results, &plain.results, "engine round 3");
+    assert_bit_identical(&c3.results, &plain.results, "cluster round 3");
+    for &k in &touched {
+        assert!(e3.results[k].stats.is_some_and(|s| s.work() > 0), "item {k} recompiled");
+    }
+    assert_eq!((pools.0.len(), pools.1.len()), (n, n), "recompiled items pool fresh results");
+
+    // Round 4: an in-place invalidation stales every pooled result.
+    space.invalidate();
+    let (e4, c4) = maintain_both(&lineages, &none, &space, &mut pools);
+    assert_eq!((e4.recompiled, e4.snapshots), (n, 0), "stale results must recompile");
+    assert_eq!(executed(&c4), n);
+    let plain = batch.confidence_batch(&lineages, &space, None);
+    assert_bit_identical(&e4.results, &plain.results, "engine round 4");
+    assert_bit_identical(&c4.results, &plain.results, "cluster round 4");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Soundness against the possible-world oracle: on random append
+    /// streams, every interval unbudgeted `d-tree(0)` maintenance reports —
+    /// through both the flat engine and the 2-shard cluster, for a streamed
+    /// item and for an unchanged one served from the pool — contains the
+    /// probability `events::world` enumerates, after every round.
+    #[test]
+    fn maintained_exact_intervals_contain_the_enumerated_probability(spec in stream_spec()) {
+        let (space, initial, steps) = build_stream(&spec);
+        let mut pools = (ResumablePool::new(2), ResumablePool::new(2));
+        let mut lineages = vec![initial.clone(), initial];
+        let mut deltas: Vec<Option<LineageDelta>> = vec![None, None];
+        for r in 0..=steps.len() {
+            let (e, c) = maintain_both(&lineages, &deltas, &space, &mut pools);
+            for (i, lineage) in lineages.iter().enumerate() {
+                let p = lineage.exact_probability_enumeration(&space);
+                for (path, got) in [("engine", &e.results[i]), ("cluster", &c.results[i])] {
+                    prop_assert!(got.converged, "{path} round {r} item {i}: {got:?}");
+                    prop_assert!(
+                        got.lower - SOUNDNESS_TOL <= p && p <= got.upper + SOUNDNESS_TOL,
+                        "{path} round {r} item {i}: {p} outside [{}, {}]",
+                        got.lower,
+                        got.upper
+                    );
+                }
+            }
+            if let Some((grown, delta)) = steps.get(r) {
+                lineages[0] = grown.clone();
+                deltas[0] = Some(delta.clone());
+            }
+        }
+    }
 }
